@@ -591,7 +591,7 @@ class HyperNetTrainer:
             logits = self.hypernet.forward(x, genotype)
             loss, grad = F.softmax_cross_entropy(logits, y)
             self.hypernet.backward(grad)
-            clip_grad_norm(self.hypernet.parameters(), self.grad_clip)
+            clip_grad_norm(self.optimiser.parameters, self.grad_clip)
             self.optimiser.step()
             total_loss += loss * len(y)
             total_correct += int((logits.argmax(axis=1) == y).sum())

@@ -94,7 +94,7 @@ def train_network(
                 logits = network(x)
                 loss, grad = F.softmax_cross_entropy(logits, y)
                 network.backward(grad)
-                clip_grad_norm(network.parameters(), grad_clip)
+                clip_grad_norm(optimiser.parameters, grad_clip)
                 optimiser.step()
                 total_loss += loss * len(y)
                 total_correct += int((logits.argmax(axis=1) == y).sum())

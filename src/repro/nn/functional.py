@@ -276,11 +276,11 @@ def avgpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 # The training kernels above materialise im2col columns (and argmax indices)
 # because their backward passes need them.  Inference-only consumers — the
 # batched HyperNet evaluation path — can use cheaper algorithms with the
-# same numerics: pooling and depthwise convolution as k*k shifted
-# view-reductions (no column tensor), 1x1 convolution as a plain matmul
-# (its im2col is the identity).  Max pooling is bitwise-identical to the
-# training kernel; average/depthwise accumulate the k*k terms in the same
-# ascending window order, so they agree to float round-off.
+# same numerics: pooling and depthwise convolution as shifted
+# accumulations over the padded input (no column tensor), 1x1 convolution
+# as a plain matmul (its im2col is the identity).  Max pooling is
+# bitwise-identical to the training kernel; average pooling and depthwise
+# re-associate the k*k window sum, so they agree to float round-off.
 
 
 #: The inference kernels accept either one ``(N, C, H, W)`` array or a
@@ -434,31 +434,52 @@ def conv2d_infer(
 def depthwise_conv2d_infer(
     x, weight: np.ndarray, stride: int, pad: int, relu: bool = False
 ) -> np.ndarray:
-    """Forward-only depthwise convolution: an einsum over the zero-copy
-    sliding-window view, contracting the K*K window axes per channel,
-    chunked along the batch axis to stay cache-sized.  ``relu=True`` fuses
-    ``maximum(x, 0)`` into the padding pass; ``x`` may be a list of row
-    blocks (:data:`Rows`) gathered in that same pass."""
+    """Forward-only depthwise convolution as a direct shifted accumulate.
+
+    The input is copied once into a zero-padded ``(C, H+2p, W+2p, N)``
+    buffer with the batch axis innermost — that pass also gathers a
+    row-block list (:data:`Rows`) and applies the fused ``relu=True`` —
+    and the K*K taps then run as ``acc += view * w[:, ki, kj]`` over
+    strided views of it, in ascending ``(ki, kj)`` order; one transpose
+    returns NCHW.  No window tensor is built.  Every output element is the
+    same elementwise sum whatever else is stacked with its row, so a row
+    scores ``==`` alone or inside any batch; against the training kernels
+    the re-associated K*K sum agrees to float round-off."""
     n, c, h, w = _rows_shape(x)
     cw, r, s = weight.shape
     if cw != c or r != s:
         raise ValueError(f"weight shape {weight.shape} incompatible with input (C={c})")
     oh = conv_out_size(h, r, stride, pad)
     ow = conv_out_size(w, r, stride, pad)
-    xp = _pad2d(x, pad, relu=relu)
-    out = np.empty((n, c, oh, ow), dtype=xp.dtype)
-    # One (1, KK) x (KK, P) matmul per (row, channel): same contraction an
-    # einsum would run, without re-deriving a contraction path per call.
-    w3 = np.ascontiguousarray(weight.reshape(1, c, 1, r * r))
-    step = _infer_row_chunk(c, r, oh, ow)
-    for lo in range(0, n, step):
-        win = _window_view(xp[lo : lo + step], r, stride, oh, ow)
-        rows = win.shape[0]
-        cols = np.ascontiguousarray(win).reshape(rows, c, r * r, oh * ow)
-        np.matmul(
-            w3, cols, out=out[lo : lo + step].reshape(rows, c, 1, oh * ow)
-        )
-    return out
+    blocks = x if isinstance(x, list) else [x]
+    xp = np.empty((c, h + 2 * pad, w + 2 * pad, n), dtype=blocks[0].dtype)
+    if pad:
+        xp[:, :pad] = 0.0
+        xp[:, pad + h :] = 0.0
+        xp[:, pad : pad + h, :pad] = 0.0
+        xp[:, pad : pad + h, pad + w :] = 0.0
+    lo = 0
+    for p in blocks:
+        hi = lo + p.shape[0]
+        src = p.transpose(1, 2, 3, 0)
+        dst = xp[:, pad : pad + h, pad : pad + w, lo:hi]
+        if relu:
+            np.maximum(src, 0.0, out=dst)
+        else:
+            dst[...] = src
+        lo = hi
+    taps = weight[:, :, :, None, None, None]
+    acc = np.empty((c, oh, ow, n), dtype=xp.dtype)
+    tmp = np.empty_like(acc)
+    for ki in range(r):
+        for kj in range(r):
+            view = xp[:, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
+            if ki == 0 and kj == 0:
+                np.multiply(view, taps[:, 0, 0], out=acc)
+            else:
+                np.multiply(view, taps[:, ki, kj], out=tmp)
+                acc += tmp
+    return np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
 
 
 def maxpool2d_infer(x, kernel: int, stride: int, pad: int) -> np.ndarray:
@@ -530,10 +551,15 @@ def batchnorm_infer(
     """Forward-only batch norm with per-segment statistics (no cache).
 
     The lean counterpart of :func:`batchnorm_forward`: one centred
-    temporary feeds both the variance (reduced through einsum, no squared
-    temporary) and the normalisation, and the affine is applied in place.
-    Values match per-segment training-mode forwards to float round-off;
-    running statistics receive one update with the across-segment mean.
+    temporary feeds both the variance and the normalisation, and the
+    affine is applied in place.  The mean is ``np.add.reduce`` plus the
+    division ``ndarray.mean`` runs; the per-(segment, channel) sum of
+    squares is one batched ``(1, M) @ (M, 1)`` matmul, the kernel an
+    einsum of the same contraction dispatches to, without its per-call
+    path search.  Each segment's output is bitwise the same whether it is
+    run alone or stacked with others, and matches a training-mode
+    :func:`batchnorm_forward` of that segment to float round-off; running
+    statistics receive one update with the across-segment mean.
     """
     if not training:
         out, _ = batchnorm_forward(
@@ -557,11 +583,14 @@ def batchnorm_infer(
     for lo in range(0, segments, step):
         sub = xs[lo : lo + step]
         dst = out[lo : lo + step]
-        mean = sub.mean(axis=(1, 3, 4))  # (chunk, C)
+        mean = np.add.reduce(sub, axis=(1, 3, 4))  # (chunk, C)
+        np.true_divide(mean, np.intp(count), out=mean, casting="unsafe")
         np.subtract(
             sub, mean.astype(x.dtype)[:, None, :, None, None], out=dst
         )
-        var = np.einsum("snchw,snchw->sc", dst, dst, optimize=True) / count
+        segs = dst.shape[0]
+        t = dst.transpose(0, 2, 1, 3, 4).reshape(segs * c, 1, count)
+        var = np.matmul(t, t.reshape(segs * c, count, 1)).reshape(segs, c) / count
         mean_all[lo : lo + step] = mean
         var_all[lo : lo + step] = var
         inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)

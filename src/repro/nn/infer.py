@@ -2,8 +2,9 @@
 
 :func:`forward_infer` runs a module tree forward with the same numerics as
 ``module(x)`` but without building backward caches, using the inference
-kernels of :mod:`repro.nn.functional` (pooling and depthwise convolution as
-shifted view-reductions, 1x1 convolution as a plain matmul).  Its second
+kernels of :mod:`repro.nn.functional` (pooling as shifted maxima/sums,
+depthwise convolution as a direct shifted accumulate over a batch-innermost
+padded copy, 1x1 convolution as a plain matmul).  Its second
 job is *segmented* batch normalisation: with ``segments > 1`` the batch
 axis is treated as that many contiguous equal-length sub-batches, each
 normalised with its own training-mode statistics.
@@ -12,11 +13,13 @@ This is the executor behind :meth:`repro.nas.hypernet.HyperNet.forward_many`
 — several sub-model paths stacked into one call per candidate op, with each
 path keeping the batch statistics it would have seen in a scalar forward.
 Outputs match training-mode ``module(x)`` per segment to floating-point
-round-off (max pooling, 1x1 convolutions and batch norm are
-bitwise-identical; average/depthwise kernels re-associate the k*k window
-sum).  Do NOT call ``module.backward`` after ``forward_infer`` — no caches
-were written, and stale ones from an earlier training step would be
-silently wrong.
+round-off (max pooling and 1x1 convolutions are bitwise-identical; batch
+norm reduces its statistics in a different order; average/depthwise
+kernels re-associate the k*k window sum).  Stacking itself changes
+nothing: a segment's batch norm and a row's depthwise output are ``==``
+whether run alone or with others.  Do NOT call ``module.backward`` after
+``forward_infer`` — no caches were written, and stale ones from an
+earlier training step would be silently wrong.
 """
 
 from __future__ import annotations

@@ -158,7 +158,7 @@ class ReinforceSearch:
                 energy_mj=evaluation.energy_mj,
             )
             self.history.append(last)
-        clip_grad_norm(self.controller.parameters(), self.grad_clip)
+        clip_grad_norm(self.optimiser.parameters, self.grad_clip)
         self.optimiser.step()
         assert last is not None
         return last

@@ -377,7 +377,7 @@ class TestInferenceKernels:
             np.testing.assert_array_equal(F.conv2d_infer(x, w, stride, 0), out)
 
     def test_depthwise_infer_matches_forward(self):
-        for kernel, stride in [(3, 1), (5, 1), (3, 2)]:
+        for kernel, stride in [(3, 1), (5, 1), (3, 2), (5, 2)]:
             pad = (kernel - 1) // 2
             x = rand((6, 4, 8, 8), seed=44)
             w = rand((4, kernel, kernel), seed=45)
@@ -385,6 +385,32 @@ class TestInferenceKernels:
             np.testing.assert_allclose(
                 F.depthwise_conv2d_infer(x, w, stride, pad), out,
                 rtol=1e-5, atol=1e-6,
+            )
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (5, 1), (3, 2), (5, 2)])
+    def test_depthwise_infer_rows_independent_of_stack(self, kernel, stride):
+        """A row's output is == whatever else is stacked with it — the
+        property pool-vs-in-process parity of batched scoring relies on."""
+        pad = (kernel - 1) // 2
+        x = rand((9, 5, 8, 8), seed=60).astype(np.float32)
+        w = rand((5, kernel, kernel), seed=61).astype(np.float32)
+        stacked = F.depthwise_conv2d_infer(x, w, stride, pad, relu=True)
+        for lo, hi in [(0, 1), (4, 5), (2, 7), (8, 9)]:
+            alone = F.depthwise_conv2d_infer(x[lo:hi], w, stride, pad, relu=True)
+            np.testing.assert_array_equal(alone, stacked[lo:hi])
+
+    def test_depthwise_infer_row_blocks_fuse_gather_and_relu(self):
+        rng = np.random.default_rng(62)
+        blocks = [
+            rng.normal(size=(rows, 4, 8, 8)).astype(np.float32) for rows in (2, 3, 1)
+        ]
+        w = rand((4, 3, 3), seed=63).astype(np.float32)
+        for stride in (1, 2):
+            np.testing.assert_array_equal(
+                F.depthwise_conv2d_infer(blocks, w, stride, 1, relu=True),
+                F.depthwise_conv2d_infer(
+                    np.maximum(np.concatenate(blocks), 0), w, stride, 1
+                ),
             )
 
     def test_maxpool_infer_bitwise_identical(self):
@@ -468,3 +494,77 @@ class TestSegmentedBatchNorm:
         np.testing.assert_allclose(
             forward_infer(op, x), op(x), rtol=1e-5, atol=1e-6
         )
+
+
+class TestBatchnormInfer:
+    """The forward-only segmented batch norm behind the batched HyperNet."""
+
+    C = 3
+
+    def _params(self):
+        gamma = (rand((self.C,), seed=70) * 0.5 + 1.0).astype(np.float32)
+        beta = (rand((self.C,), seed=71) * 0.1).astype(np.float32)
+        return gamma, beta
+
+    def _stats(self):
+        return rand((self.C,), seed=72).astype(np.float32), np.ones(self.C, np.float32) * 2
+
+    def _infer(self, x, segments, momentum=0.1, training=True, stats=None):
+        gamma, beta = self._params()
+        rm, rv = stats if stats is not None else self._stats()
+        out = F.batchnorm_infer(
+            x, gamma, beta, rm, rv, momentum, 1e-5, training, segments=segments
+        )
+        return out, rm, rv
+
+    def test_matches_batchnorm_forward_per_segment(self):
+        x = (rand((12, self.C, 4, 4), seed=73) * 3 + 1).astype(np.float32)
+        out, _, _ = self._infer(x, segments=4)
+        gamma, beta = self._params()
+        for s in range(4):
+            part, _ = F.batchnorm_forward(
+                x[s * 3 : (s + 1) * 3], gamma, beta, *self._stats(), 0.1, 1e-5, True
+            )
+            np.testing.assert_allclose(out[s * 3 : (s + 1) * 3], part, rtol=1e-6, atol=1e-6)
+
+    def test_segment_alone_equals_segment_in_stack(self, monkeypatch):
+        rows, h = 3, 4  # three rows: a reordered row sum shows in the bits
+        per_segment = rows * self.C * h * h
+        monkeypatch.setattr(F, "_INFER_CHUNK_ELEMS", 3 * per_segment)
+        segments = 7  # chunks of 3 + 3 + 1 segments
+        assert segments > F._INFER_CHUNK_ELEMS // per_segment
+        x = rand((segments * rows, self.C, h, h), seed=74).astype(np.float32)
+        stacked, _, _ = self._infer(x, segments=segments)
+        for s in range(segments):
+            lo, hi = s * rows, (s + 1) * rows
+            alone, _, _ = self._infer(x[lo:hi], segments=1)
+            np.testing.assert_array_equal(alone, stacked[lo:hi])
+
+    def test_running_stats_take_the_mean_over_segments(self):
+        segments, rows = 5, 2
+        x = (rand((segments * rows, self.C, 4, 4), seed=75) * 2 - 1).astype(np.float32)
+        # momentum 1 leaves exactly one segment's own statistics behind.
+        seg_means, seg_vars = [], []
+        for s in range(segments):
+            _, rm, rv = self._infer(x[s * rows : (s + 1) * rows], 1, momentum=1.0)
+            seg_means.append(rm)
+            seg_vars.append(rv)
+        _, rm, rv = self._infer(x, segments, momentum=0.1)
+        rm0, rv0 = self._stats()
+        expect_m, expect_v = rm0.copy(), rv0.copy()
+        expect_m *= 0.9
+        expect_m += 0.1 * np.stack(seg_means).mean(axis=0)
+        expect_v *= 0.9
+        expect_v += 0.1 * np.stack(seg_vars).mean(axis=0)
+        np.testing.assert_array_equal(rm, expect_m)
+        np.testing.assert_array_equal(rv, expect_v)
+
+    def test_eval_mode_uses_running_stats(self):
+        x = rand((6, self.C, 4, 4), seed=76).astype(np.float32)
+        gamma, beta = self._params()
+        out, rm, rv = self._infer(x, segments=3, training=False)
+        expect, _ = F.batchnorm_forward(x, gamma, beta, *self._stats(), 0.1, 1e-5, False)
+        np.testing.assert_array_equal(out, expect)
+        rm0, rv0 = self._stats()
+        np.testing.assert_array_equal(rm, rm0)
+        np.testing.assert_array_equal(rv, rv0)
