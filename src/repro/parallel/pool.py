@@ -418,10 +418,10 @@ class WorkerPool:
                     # crash happened too, the broken executor is torn down so
                     # the next dispatch respawns cleanly.)
                     if crashed:
-                        self._teardown()
+                        self._teardown(broken=True)
                     raise task_error
                 if crashed:
-                    self._teardown()
+                    self._teardown(broken=True)
                     attempts += 1
                     self.restarts += 1
                     _M_RESTARTS.inc()
@@ -449,10 +449,21 @@ class WorkerPool:
         return results
 
     # ------------------------------------------------------------------
-    def _teardown(self) -> None:
+    def _teardown(self, broken: bool = False) -> None:
         if self._executor is not None:
+            # shutdown() drops the executor's reference to its workers.
+            processes = list((self._executor._processes or {}).values())
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
+            if broken:
+                # A worker whose spawn was still inside submit() when a
+                # sibling died joins the executor after CPython's own
+                # terminate pass: it then waits for work forever, and the
+                # executor's manager thread -- and so interpreter exit --
+                # waits on it forever.  Every submit of the batch has
+                # returned by now, so the list holds every worker.
+                for process in processes:
+                    process.terminate()
 
     def close(self) -> None:
         """Shut the workers down (idempotent; the payload is retained,

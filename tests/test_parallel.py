@@ -16,6 +16,7 @@ job, so the multiprocess path is exercised on every push.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -536,6 +537,21 @@ def _lifecycle_task(shard):
     return kind
 
 
+class _HookedSpawnProcess(multiprocessing.get_context("spawn").Process):
+    """Spawn process that calls a parent-side hook once it has started."""
+
+    after_start = None
+
+    def start(self):
+        super().start()
+        if _HookedSpawnProcess.after_start is not None:
+            _HookedSpawnProcess.after_start(self)
+
+
+class _HookedSpawnContext(type(multiprocessing.get_context("spawn"))):
+    Process = _HookedSpawnProcess
+
+
 class TestWorkerPoolTaskErrors:
     def test_task_error_harvests_all_futures(self, tmp_path):
         """Regression: run_tasks used to propagate the first genuine task
@@ -565,3 +581,70 @@ class TestWorkerPoolTaskErrors:
             assert ok.exists()
         finally:
             pool.close()
+
+    def test_worker_spawned_during_a_crash_is_stopped(self, monkeypatch):
+        """Regression: a worker dying while submit() was still spawning
+        its sibling left that sibling outside CPython's terminate pass
+        (Python < 3.12); it waited for work forever and interpreter exit
+        blocked joining it."""
+        import concurrent.futures.process as cf_process
+        import pickle
+        import sys
+
+        from repro.parallel import pool as pool_module
+        from repro.resilience import faults
+
+        # Make the race deterministic: the second worker joins the first
+        # executor only after the first worker died and the executor's
+        # manager thread sent its shutdown sentinels to the reaped workers.
+        crashed: list[dict] = []
+        sentinels_sent = threading.Event()
+        real_shutdown_workers = cf_process._ExecutorManagerThread.shutdown_workers
+
+        def shutdown_workers(manager):
+            if crashed and manager.processes is crashed[0]:
+                for process in manager.processes.values():
+                    process.join(timeout=10.0)
+            real_shutdown_workers(manager)
+            if crashed and manager.processes is crashed[0]:
+                sentinels_sent.set()
+
+        def hold_second_worker(process):
+            if not crashed:
+                crashed.append(pool._executor._processes)
+            elif sys.version_info < (3, 12) and not sentinels_sent.is_set():
+                sentinels_sent.wait(timeout=30.0)
+
+        monkeypatch.setattr(
+            cf_process._ExecutorManagerThread, "shutdown_workers", shutdown_workers
+        )
+        monkeypatch.setattr(_HookedSpawnProcess, "after_start", hold_second_worker)
+        monkeypatch.setattr(
+            pool_module, "get_context", lambda method: _HookedSpawnContext()
+        )
+        before = {p.pid for p in multiprocessing.active_children()}
+        # Larger than a pipe buffer, so a spawn returns only once its child
+        # has started: the first worker takes the faulted shard.
+        pool = WorkerPool(pickle.dumps(b"x" * (4 << 20)), workers=2)
+        plan = faults.FaultPlan(seed=0).add("pool.worker", "kill", count=1)
+        orphans: set[int] = set()
+        try:
+            with faults.installed(plan):
+                assert pool.run_tasks(len, [["a"], ["b", "c"]]) == [1, 2]
+            assert pool.restarts == 1
+            live = set(pool.worker_pids())
+            deadline = time.monotonic() + 10.0
+            while True:
+                orphans = {
+                    p.pid for p in multiprocessing.active_children()
+                } - before - live
+                if not orphans or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert not orphans, "workers of the crashed executor still run"
+        finally:
+            pool.close()
+            # Keep a regression from hanging the rest of the session.
+            for p in multiprocessing.active_children():
+                if p.pid in orphans:
+                    p.terminate()
