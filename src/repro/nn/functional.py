@@ -2,9 +2,18 @@
 
 Every function here is a pure forward or backward computation on
 ``numpy.ndarray`` inputs.  Convolutions use an im2col lowering with the
-column layout ``(N, C*K*K, OH*OW)``: building it only needs K*K contiguous
-slice copies (no strided gathers), and the convolution itself becomes one
-batched BLAS ``matmul`` whose output reshapes to NCHW for free.
+column layout ``(N, C*K*K, OH*OW)``: building it is ONE copy of a
+zero-copy sliding-window view of the padded input, and the convolution
+itself becomes one batched BLAS ``matmul`` whose output reshapes to NCHW
+for free.  The adjoint, :func:`col2im`, scatter-adds the K*K taps in a
+batch-innermost ``(H+2p, W+2p, N, C)`` buffer, so each add runs over long
+contiguous runs instead of OW-element image rows.
+
+The standard training kernels never re-associate a sum: every output and
+gradient is bitwise that of the textbook formulation — a K*K slice-loop
+im2col/col2im summing taps from zero in ascending ``(ki, kj)`` order, the
+GEMMs ``np.einsum`` lowers the weight gradients to, argmax max-pool
+routing.
 
 Array layout is NCHW throughout; compute dtype is float32.
 """
@@ -83,25 +92,20 @@ def im2col(
 
     Returns
     -------
-    Array of shape ``(N, C * kernel * kernel, OH * OW)``.
+    Contiguous ``(N, C * kernel * kernel, OH * OW)`` columns: ONE copy of a
+    sliding-window view of the padded input (a view of ``x`` itself when
+    the lowering is the identity: 1x1, stride 1, no pad, contiguous ``x``).
     """
     n, c, h, w = x.shape
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
-    if pad > 0:
-        xp = np.full(
-            (n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype
-        )
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        xp = x
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for ki in range(kernel):
-        h_end = ki + stride * oh
-        for kj in range(kernel):
-            w_end = kj + stride * ow
-            cols[:, :, ki, kj] = xp[:, :, ki:h_end:stride, kj:w_end:stride]
-    return cols.reshape(n, c * kernel * kernel, oh * ow)
+    win = _window_view(_pad2d(x, pad, value=pad_value), kernel, stride, oh, ow)
+    return np.ascontiguousarray(win).reshape(n, c * kernel * kernel, oh * ow)
+
+
+#: Image-row length from which :func:`col2im`'s NCHW slice adds amortise
+#: numpy's per-row cost; shorter rows scatter channels-last instead.
+_COL2IM_NCHW_ROW = 16
 
 
 def col2im(
@@ -111,21 +115,43 @@ def col2im(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back to image layout."""
+    """Adjoint of :func:`im2col`: scatter-add columns back to image layout.
+
+    Every pixel sums the taps that cover it from zero in ascending
+    ``(ki, kj)`` order.  The K*K slice adds run on NCHW image rows when
+    those are long (or there is a single 1x1 tap), and channels-last
+    (:func:`_col2im_taps`) when they are short — the same sums either way.
+    """
     n, c, h, w = x_shape
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kernel, kernel, oh, ow)
+    taps = cols.reshape(n, c, kernel, kernel, oh, ow)
+    if kernel > 1 and ow < _COL2IM_NCHW_ROW:
+        return _col2im_taps(taps.transpose(2, 3, 4, 5, 0, 1), h, w, stride, pad)
+    x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     for ki in range(kernel):
-        h_end = ki + stride * oh
         for kj in range(kernel):
-            w_end = kj + stride * ow
-            x[:, :, ki:h_end:stride, kj:w_end:stride] += cols6[:, :, ki, kj]
-    if pad > 0:
-        return x[:, :, pad : pad + h, pad : pad + w]
-    return x
+            x[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += (
+                taps[:, :, ki, kj]
+            )
+    return x[:, :, pad : pad + h, pad : pad + w]
+
+
+def _col2im_taps(taps: np.ndarray, h: int, w: int, stride: int, pad: int) -> np.ndarray:
+    """Scatter-add channels-last taps ``(K, K, OH, OW, N, C)`` (each made
+    contiguous before its add) into a contiguous ``(N, C, H, W)`` image, in
+    a zeroed ``(H+2p, W+2p, N, C)`` buffer so every add covers ``N*C``-long
+    runs; each pixel sums its taps from zero in ascending ``(ki, kj)`` order.
+    """
+    kernel = taps.shape[0]
+    oh, ow, n, c = taps.shape[2:]
+    buf = np.zeros((h + 2 * pad, w + 2 * pad, n, c), dtype=taps.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            buf[ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += (
+                np.ascontiguousarray(taps[ki, kj])
+            )
+    return np.ascontiguousarray(buf[pad : pad + h, pad : pad + w].transpose(2, 3, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +188,15 @@ def conv2d_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.
     cols, x_shape, weight, stride, pad = cache
     k = weight.shape[0]
     r = weight.shape[2]
-    n = grad_out.shape[0]
+    n, q, p = cols.shape
     g = grad_out.reshape(n, k, -1)  # (N, K, P)
-    # grad_w[k, ckk] = sum_n g[n] @ cols[n].T
-    grad_w = np.einsum("nkp,ncp->kc", g, cols, optimize=True).reshape(weight.shape)
+    # grad_w[k, q] = sum_{n,p} g[n, k, p] * cols[n, q, p], as the one GEMM
+    # np.einsum("nkp,ncp->kc", optimize=True) lowers it to: same operands,
+    # same BLAS call, so the same bits — without the per-call path search.
+    grad_w = np.matmul(
+        cols.transpose(1, 0, 2).reshape(q, n * p),
+        g.transpose(0, 2, 1).reshape(n * p, k),
+    ).T.reshape(weight.shape)
     grad_cols = np.matmul(weight.reshape(k, -1).T, g)  # (N, C*R*S, P)
     grad_x = col2im(grad_cols, x_shape, r, stride, pad)
     return grad_x, grad_w
@@ -183,33 +214,55 @@ def depthwise_conv2d_forward(
 
     ``weight`` has shape ``(C, R, S)``.  Returns ``(out, cache)`` with ``out``
     of shape ``(N, C, OH, OW)``.
+
+    The columns are built with ONE window copy straight into the
+    ``(C, R*S, N*OH*OW)`` layout that ``np.einsum("nckp,ck->ncp",
+    optimize=True)`` transposes im2col columns to before its batched GEMM;
+    the forward is that GEMM, and :func:`depthwise_conv2d_backward` reuses
+    the cached columns for grad_w — the einsum results, bit for bit.
     """
     n, c, h, w = x.shape
     cw, r, s = weight.shape
     if cw != c or r != s:
         raise ValueError(f"weight shape {weight.shape} incompatible with input {x.shape}")
-    cols = im2col(x, r, stride, pad)  # (N, C*R*S, P)
     oh = conv_out_size(h, r, stride, pad)
     ow = conv_out_size(w, r, stride, pad)
-    cols4 = cols.reshape(n, c, r * s, -1)
-    out = np.einsum("nckp,ck->ncp", cols4, weight.reshape(c, r * s), optimize=True)
+    win = _window_view(_pad2d(x, pad), r, stride, oh, ow)  # (N, C, R, S, OH, OW)
+    if oh * ow > 1:
+        cols = np.ascontiguousarray(win.transpose(1, 2, 3, 0, 4, 5)).reshape(
+            c, r * s, n * oh * ow
+        )
+    else:  # einsum drops the singleton P axis: a transposed view of im2col
+        cols = np.ascontiguousarray(win).reshape(n, c, r * s).transpose(1, 2, 0)
+    out = np.matmul(weight.reshape(c, 1, r * s), cols)  # (C, 1, N*P)
     cache = (cols, x.shape, weight, stride, pad)
-    return out.reshape(n, c, oh, ow), cache
+    return out.reshape(c, n, oh, ow).transpose(1, 0, 2, 3), cache
 
 
 def depthwise_conv2d_backward(
     grad_out: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward pass of :func:`depthwise_conv2d_forward`."""
+    """Backward pass of :func:`depthwise_conv2d_forward`.
+
+    grad_w is the batched GEMM ``np.einsum("ncp,nckp->ck", optimize=True)``
+    lowers to, on the cached ``(C, R*S, N*P)`` columns.  grad_x scatters
+    the taps ``g * w[:, ki, kj]``, built directly channels-last (products
+    are exact), through :func:`_col2im_taps`.
+    """
     cols, x_shape, weight, stride, pad = cache
-    c, r, _ = weight.shape
-    n = grad_out.shape[0]
+    n, c, h, w = x_shape
+    r = weight.shape[1]
+    oh, ow = grad_out.shape[2], grad_out.shape[3]
     g = grad_out.reshape(n, c, -1)  # (N, C, P)
-    cols4 = cols.reshape(n, c, r * r, -1)
-    grad_w = np.einsum("ncp,nckp->ck", g, cols4, optimize=True).reshape(weight.shape)
-    grad_cols = g[:, :, None, :] * weight.reshape(1, c, r * r, 1)
-    grad_x = col2im(grad_cols.reshape(n, c * r * r, -1), x_shape, r, stride, pad)
-    return grad_x, grad_w
+    grad_w = np.matmul(cols, g.transpose(1, 0, 2).reshape(c, -1, 1)).reshape(
+        weight.shape
+    )
+    # taps[ki, kj, oh, ow, n, c] = w[c, ki, kj] * g[n, c, oh, ow], with the
+    # weights tiled over the batch so both factors run N*C-long rows.
+    g_cl = np.ascontiguousarray(grad_out.transpose(2, 3, 0, 1)).reshape(oh, ow, n * c)
+    w_cl = np.tile(weight.transpose(1, 2, 0), n)[:, :, None, None, :]
+    taps = (w_cl * g_cl).reshape(r, r, oh, ow, n, c)
+    return _col2im_taps(taps, h, w, stride, pad), grad_w
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +273,41 @@ def depthwise_conv2d_backward(
 def maxpool2d_forward(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> tuple[np.ndarray, tuple]:
-    """Max pooling.  Padded cells are ``-inf`` so they never win the max."""
+    """Max pooling.  Padded cells are ``-inf`` so they never win the max.
+
+    A separable forward (:func:`_maxpool_separable`; max is exact) plus a
+    boolean first-max mask for backward: per window, the first cell in
+    ``(ki, kj)`` scan order that attains the maximum, so gradient routing
+    is exactly an argmax routing over the im2col window, ties included.
+    """
+    out = _maxpool_separable(x, kernel, stride, pad)
     n, c, h, w = x.shape
-    oh = conv_out_size(h, kernel, stride, pad)
-    ow = conv_out_size(w, kernel, stride, pad)
-    cols = im2col(x, kernel, stride, pad, pad_value=-np.inf)
-    cols4 = cols.reshape(n, c, kernel * kernel, oh * ow)
-    arg = np.argmax(cols4, axis=2)  # (N, C, P)
-    out = np.take_along_axis(cols4, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    cache = (arg, x.shape, kernel, stride, pad)
-    return out.reshape(n, c, oh, ow), cache
+    oh, ow = out.shape[2], out.shape[3]
+    mask = np.empty((n, c, kernel * kernel, oh, ow), dtype=bool)
+    step = _pool_row_chunk(c, oh, ow)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        xp = _pad2d(x[lo:hi], pad, value=-np.inf)
+        target = out[lo:hi]
+        taken = np.zeros((hi - lo, c, oh, ow), dtype=bool)
+        for idx in range(kernel * kernel):
+            ki, kj = divmod(idx, kernel)
+            window = xp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
+            hit = (window == target) & ~taken
+            mask[lo:hi, :, idx] = hit
+            taken |= hit
+    return out, (mask, x.shape, kernel, stride, pad)
 
 
 def maxpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Route gradients to the argmax cell of every window."""
-    arg, x_shape, kernel, stride, pad = cache
-    n, c, oh, ow = grad_out.shape
-    cols4 = np.zeros((n, c, kernel * kernel, oh * ow), dtype=grad_out.dtype)
-    np.put_along_axis(
-        cols4, arg[:, :, None, :], grad_out.reshape(n, c, 1, -1), axis=2
-    )
-    return col2im(cols4.reshape(n, c * kernel * kernel, -1), x_shape, kernel, stride, pad)
+    """Route gradients to the first max cell of every window."""
+    mask = cache[0]
+    scratch = np.empty_like(grad_out)
+
+    def tap(idx: int) -> np.ndarray:
+        return np.multiply(grad_out, mask[:, :, idx], out=scratch)
+
+    return _pool_taps_backward(grad_out, tap, *cache[1:])
 
 
 def avgpool2d_forward(
@@ -259,21 +326,44 @@ def avgpool2d_forward(
 
 def avgpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Spread gradients uniformly over each window."""
-    x_shape, kernel, stride, pad = cache
-    n, c, oh, ow = grad_out.shape
-    kk = kernel * kernel
-    g = grad_out.reshape(n, c, 1, oh * ow) / kk
-    cols4 = np.broadcast_to(g, (n, c, kk, oh * ow))
-    return col2im(
-        np.ascontiguousarray(cols4).reshape(n, c * kk, -1), x_shape, kernel, stride, pad
-    )
+    kernel = cache[1]
+    g = grad_out / (kernel * kernel)
+    return _pool_taps_backward(grad_out, lambda idx: g, *cache)
+
+
+def _pool_taps_backward(grad_out, tap, x_shape, kernel: int, stride: int, pad: int):
+    """Pooling backward as K*K shifted adds of ``tap(idx)`` (``grad_out``
+    routed through window cell ``idx``) from zero in ascending ``(ki, kj)``
+    order, clipped to the unpadded image — bitwise a col2im of the routed
+    columns, whose padding taps are dropped too, without the column tensor
+    or a padded buffer.  The result is contiguous."""
+    n, c, h, w = x_shape
+    oh, ow = grad_out.shape[2], grad_out.shape[3]
+    gx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
+    for idx in range(kernel * kernel):
+        ki, kj = divmod(idx, kernel)
+        i0, i1, ilo = _tap_span(ki, stride, pad, h, oh)
+        j0, j1, jlo = _tap_span(kj, stride, pad, w, ow)
+        rows = slice(ilo, ilo + stride * (i1 - i0), stride)
+        cols = slice(jlo, jlo + stride * (j1 - j0), stride)
+        gx[:, :, rows, cols] += tap(idx)[:, :, i0:i1, j0:j1]
+    return gx
+
+
+def _tap_span(k_off: int, stride: int, pad: int, size: int, out_size: int):
+    """Valid output-index range [t0, t1) of one pooling tap: positions whose
+    padded coordinate ``k_off + stride*t`` lands inside the unpadded image.
+    Returns ``(t0, t1, lo)`` with ``lo`` the unpadded start coordinate."""
+    t0 = max(0, -(-(pad - k_off) // stride))  # ceil division
+    t1 = min(out_size, (pad + size - 1 - k_off) // stride + 1)
+    return t0, t1, k_off + stride * t0 - pad
 
 
 # ---------------------------------------------------------------------------
 # Forward-only inference kernels
 # ---------------------------------------------------------------------------
 #
-# The training kernels above materialise im2col columns (and argmax indices)
+# The training kernels above materialise im2col columns (and max-pool masks)
 # because their backward passes need them.  Inference-only consumers — the
 # batched HyperNet evaluation path — can use cheaper algorithms with the
 # same numerics: pooling and depthwise convolution as shifted
@@ -483,10 +573,16 @@ def depthwise_conv2d_infer(
 
 
 def maxpool2d_infer(x, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """Forward-only max pooling, separably: a k*1 column max followed by a
-    1*k row max — 2k shifted passes instead of k*k, bitwise-identical (max
-    is associative/commutative).  Chunked along the batch axis to keep the
-    passes cache-sized."""
+    """Forward-only max pooling (:func:`_maxpool_separable`), the same
+    values as :func:`maxpool2d_forward` without the backward mask."""
+    return _maxpool_separable(x, kernel, stride, pad)
+
+
+def _maxpool_separable(x, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """Max pooling, separably: a k*1 column max followed by a 1*k row max —
+    2k shifted passes instead of k*k, exact (max is associative and
+    commutative).  Chunked along the batch axis to keep the passes
+    cache-sized."""
     if isinstance(x, list):
         x = _stack_rows(x)
     n, c, h, w = x.shape
@@ -623,41 +719,34 @@ def global_avgpool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 #
 # The standard training kernels above hold the full im2col column tensor
 # (K*K times the input) from forward to backward.  The `*_fast` variants
-# keep only O(input) state and adopt the inference tricks where a backward
-# pass still exists:
+# keep only O(input) state, re-associating sums where a backward pass
+# still exists:
 #
 # * pointwise (1x1) convolution never builds columns in either direction —
 #   forward is one matmul on the (reshaped) input, backward is one matmul
-#   plus an einsum, and grad_x for strided 1x1 is a direct scatter;
-# * K>1 convolutions build columns with the one-copy sliding-window view,
-#   chunked along the batch axis to stay cache-sized; the columns are
-#   cached for backward only while they fit `_TRAIN_CACHE_ELEMS` (stored
-#   float32), otherwise backward recomputes them chunk by chunk — the
-#   per-layer cache is bounded instead of growing K*K-fold with the input;
-# * pooling caches a boolean first-max mask (max) or nothing (average) and
-#   runs backward as K*K shifted masked adds — no float column tensor, no
-#   argmax/put_along_axis traversals.
+#   plus a batched-matmul grad_w, and grad_x for strided 1x1 is a direct
+#   scatter;
+# * K>1 convolutions build im2col columns chunked along the batch axis to
+#   stay cache-sized; the columns are cached for backward only while they
+#   fit `_TRAIN_CACHE_ELEMS` (stored float32), otherwise backward
+#   recomputes them chunk by chunk — the per-layer cache is bounded
+#   instead of growing K*K-fold with the input;
+# * stride-1 grad_x runs as a transposed convolution (one im2col of the
+#   padded output gradient and one matmul) instead of the col2im scatter,
+#   and grad_w as a batched matmul plus a pairwise batch sum;
+# * pooling is the standard kernels', except the separable average forward.
 #
-# Numerics: conv/max-pool forwards are bitwise identical to the standard
-# kernels (identical columns, per-sample matmul, associative max);
-# depthwise/average forwards re-associate the window reduction and agree
-# to float round-off.  Backward gradients match the standard kernels to
-# float round-off (chunked or float32-demoted accumulation re-associates
-# sums); `tests/test_nn_fast_kernels.py` pins parity at relative 1e-6.
+# Numerics: conv/max-pool forwards and the pool backwards are bitwise
+# identical to the standard kernels; depthwise/average forwards and the
+# conv/depthwise gradients agree to float round-off (transposed, chunked,
+# pairwise or float32-demoted accumulation); `tests/test_nn_fast_kernels.py`
+# pins parity at relative 1e-6.
 
 #: Column-cache budget (elements) for the fast training convolutions: a
 #: forward whose full column tensor fits is cached (float32) for backward
 #: reuse; anything larger is recomputed chunk by chunk in backward.  Keeps
 #: every layer's backward state under ~16 MB at any scale.
 _TRAIN_CACHE_ELEMS = 4_000_000
-
-
-def _train_cols(xp: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Contiguous ``(N, C*K*K, OH*OW)`` columns via ONE sliding-window copy
-    (bitwise-identical to :func:`im2col`, ~1.4x faster)."""
-    n, c = xp.shape[:2]
-    win = _window_view(xp, kernel, stride, oh, ow)
-    return np.ascontiguousarray(win).reshape(n, c * kernel * kernel, oh * ow)
 
 
 def conv2d_forward_fast(
@@ -684,13 +773,13 @@ def conv2d_forward_fast(
     out = np.empty((n, k, oh, ow), dtype=x.dtype)
     total = n * c * r * r * oh * ow
     if total <= _TRAIN_CACHE_ELEMS:
-        cols = _train_cols(_pad2d(x, pad), r, stride, oh, ow)
+        cols = im2col(x, r, stride, pad)
         np.matmul(w2, cols, out=out.reshape(n, k, oh * ow))
         stored = cols if cols.dtype == np.float32 else cols.astype(np.float32)
         return out, (x, weight, stride, pad, stored)
     step = _infer_row_chunk(c, r, oh, ow)
     for lo in range(0, n, step):
-        cols = _train_cols(_pad2d(x[lo : lo + step], pad), r, stride, oh, ow)
+        cols = im2col(x[lo : lo + step], r, stride, pad)
         np.matmul(
             w2, cols, out=out[lo : lo + step].reshape(cols.shape[0], k, oh * ow)
         )
@@ -728,8 +817,7 @@ def _conv_grad_x_s1(
     wflip = np.ascontiguousarray(
         weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     ).reshape(c, k * r * r)
-    gp = _pad2d(grad_out, r - 1 - pad)
-    cols = _train_cols(gp, r, 1, h, w)
+    cols = im2col(grad_out, r, 1, r - 1 - pad)
     return np.matmul(wflip, cols).reshape(n, c, h, w)
 
 
@@ -741,8 +829,7 @@ def _depthwise_grad_x_s1(
     n, c, oh, ow = grad_out.shape
     r = weight.shape[1]
     wflip = np.ascontiguousarray(weight[:, ::-1, ::-1]).reshape(1, c, 1, r * r)
-    gp = _pad2d(grad_out, r - 1 - pad)
-    cols = _train_cols(gp, r, 1, h, w).reshape(n, c, r * r, h * w)
+    cols = im2col(grad_out, r, 1, r - 1 - pad).reshape(n, c, r * r, h * w)
     out = np.empty((n, c, 1, h * w), dtype=grad_out.dtype)
     np.matmul(wflip.astype(grad_out.dtype, copy=False), cols, out=out)
     return out.reshape(n, c, h, w)
@@ -754,7 +841,7 @@ def conv2d_backward_fast(
     """Backward of :func:`conv2d_forward_fast`: columns are reused from the
     bounded cache or recomputed chunk by chunk — never held at full size —
     and stride-1 grad_x runs as a transposed convolution instead of the
-    scattered col2im adds."""
+    col2im scatter."""
     x, weight, stride, pad, stored = cache
     n, c, h, w = x.shape
     k = weight.shape[0]
@@ -771,7 +858,7 @@ def conv2d_backward_fast(
         grad_x = np.zeros_like(x)
         grad_x[:, :, ::stride, ::stride] = gx.reshape(n, c, oh, ow)
         return grad_x, grad_w
-    transposed = stride == 1 and pad < r  # _pad2d needs r - 1 - pad >= 0
+    transposed = stride == 1 and pad < r  # im2col needs r - 1 - pad >= 0
     if stored is not None:
         grad_w = _grad_w_conv(g, stored).reshape(weight.shape)
         if transposed:
@@ -784,7 +871,7 @@ def conv2d_backward_fast(
     step = _infer_row_chunk(c, r, oh, ow)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        cols = _train_cols(_pad2d(x[lo:hi], pad), r, stride, oh, ow)
+        cols = im2col(x[lo:hi], r, stride, pad)
         gc = g[lo:hi]
         grad_w += _grad_w_conv(gc, cols)
         if transposed:
@@ -812,14 +899,14 @@ def depthwise_conv2d_forward_fast(
     out = np.empty((n, c, oh, ow), dtype=x.dtype)
     total = n * c * r * r * oh * ow
     if total <= _TRAIN_CACHE_ELEMS:
-        cols = _train_cols(_pad2d(x, pad), r, stride, oh, ow)
+        cols = im2col(x, r, stride, pad)
         cols4 = cols.reshape(n, c, r * r, oh * ow)
         np.matmul(w3, cols4, out=out.reshape(n, c, 1, oh * ow))
         stored = cols if cols.dtype == np.float32 else cols.astype(np.float32)
         return out, (x, weight, stride, pad, stored)
     step = _infer_row_chunk(c, r, oh, ow)
     for lo in range(0, n, step):
-        cols = _train_cols(_pad2d(x[lo : lo + step], pad), r, stride, oh, ow)
+        cols = im2col(x[lo : lo + step], r, stride, pad)
         rows = cols.shape[0]
         np.matmul(
             w3,
@@ -839,7 +926,7 @@ def depthwise_conv2d_backward_fast(
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     g = grad_out.reshape(n, c, oh * ow)
     wcol = weight.reshape(1, c, r * r, 1)
-    transposed = stride == 1 and pad < r  # _pad2d needs r - 1 - pad >= 0
+    transposed = stride == 1 and pad < r  # im2col needs r - 1 - pad >= 0
     if stored is not None:
         cols4 = stored.reshape(n, c, r * r, oh * ow)
         grad_w = _grad_w_depthwise(g, cols4).reshape(weight.shape)
@@ -853,7 +940,7 @@ def depthwise_conv2d_backward_fast(
     step = _infer_row_chunk(c, r, oh, ow)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        cols = _train_cols(_pad2d(x[lo:hi], pad), r, stride, oh, ow)
+        cols = im2col(x[lo:hi], r, stride, pad)
         cols4 = cols.reshape(hi - lo, c, r * r, oh * ow)
         gc = g[lo:hi]
         grad_w += _grad_w_depthwise(gc, cols4)
@@ -873,78 +960,10 @@ def depthwise_conv2d_backward_fast(
     return grad_x, grad_w.reshape(weight.shape).astype(weight.dtype, copy=False)
 
 
-def maxpool2d_forward_fast(
-    x: np.ndarray, kernel: int, stride: int, pad: int
-) -> tuple[np.ndarray, tuple]:
-    """Compact-cache max pooling: separable forward (bitwise-identical to
-    :func:`maxpool2d_forward`) plus a boolean first-max mask for backward —
-    no float column tensor, no argmax traversal.
-
-    The mask marks, per window, the first cell (in the standard kernel's
-    ``(ki, kj)`` scan order) that attains the window maximum, so gradient
-    routing is exactly the argmax routing of the standard kernel, ties
-    included.
-    """
-    out = maxpool2d_infer(x, kernel, stride, pad)
-    n, c, h, w = x.shape
-    oh, ow = out.shape[2], out.shape[3]
-    mask = np.empty((n, c, kernel * kernel, oh, ow), dtype=bool)
-    step = _pool_row_chunk(c, oh, ow)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        xp = _pad2d(x[lo:hi], pad, value=-np.inf)
-        target = out[lo:hi]
-        taken = np.zeros((hi - lo, c, oh, ow), dtype=bool)
-        idx = 0
-        for ki in range(kernel):
-            h_end = ki + stride * oh
-            for kj in range(kernel):
-                w_end = kj + stride * ow
-                # Elementwise compare on the strided window view — no
-                # column copies anywhere in the mask build.
-                hit = xp[:, :, ki:h_end:stride, kj:w_end:stride] == target
-                hit &= ~taken
-                mask[lo:hi, :, idx] = hit
-                taken |= hit
-                idx += 1
-    cache = (mask, x.shape, kernel, stride, pad)
-    return out, cache
-
-
-def _tap_span(k_off: int, stride: int, pad: int, size: int, out_size: int):
-    """Valid output-index range [t0, t1) of one pooling tap: positions whose
-    padded coordinate ``k_off + stride*t`` lands inside the unpadded image.
-    Returns ``(t0, t1, lo)`` with ``lo`` the unpadded start coordinate."""
-    t0 = max(0, -(-(pad - k_off) // stride))  # ceil division
-    t1 = min(out_size, (pad + size - 1 - k_off) // stride + 1)
-    return t0, t1, k_off + stride * t0 - pad
-
-
-def maxpool2d_backward_fast(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Backward of :func:`maxpool2d_forward_fast`: K*K shifted masked adds,
-    clipped to the unpadded image (same sums, in the same order, as the
-    standard kernel's put_along_axis + col2im — taps landing in the padding
-    are discarded there too).  The result is contiguous and no padded
-    buffer is ever allocated."""
-    mask, x_shape, kernel, stride, pad = cache
-    n, c, h, w = x_shape
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    gx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    scratch = np.empty((n, c, oh, ow), dtype=grad_out.dtype)
-    idx = 0
-    for ki in range(kernel):
-        i0, i1, ilo = _tap_span(ki, stride, pad, h, oh)
-        for kj in range(kernel):
-            j0, j1, jlo = _tap_span(kj, stride, pad, w, ow)
-            np.multiply(grad_out, mask[:, :, idx], out=scratch)
-            gx[
-                :,
-                :,
-                ilo : ilo + stride * (i1 - i0) : stride,
-                jlo : jlo + stride * (j1 - j0) : stride,
-            ] += scratch[:, :, i0:i1, j0:j1]
-            idx += 1
-    return gx
+#: Max pooling and the pool backwards need no compact variant: the standard
+#: kernels already keep only a boolean mask (or nothing) for backward.
+maxpool2d_forward_fast = maxpool2d_forward
+maxpool2d_backward_fast = maxpool2d_backward
 
 
 def avgpool2d_forward_fast(
@@ -956,27 +975,7 @@ def avgpool2d_forward_fast(
     return out, (x.shape, kernel, stride, pad)
 
 
-def avgpool2d_backward_fast(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Backward of :func:`avgpool2d_forward_fast`: K*K shifted adds of the
-    uniformly spread gradient, clipped to the unpadded image — no broadcast
-    column tensor, no padded buffer (bitwise-identical to
-    :func:`avgpool2d_backward`, whose padding-region adds are discarded)."""
-    x_shape, kernel, stride, pad = cache
-    n, c, h, w = x_shape
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    g = grad_out / (kernel * kernel)
-    gx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    for ki in range(kernel):
-        i0, i1, ilo = _tap_span(ki, stride, pad, h, oh)
-        for kj in range(kernel):
-            j0, j1, jlo = _tap_span(kj, stride, pad, w, ow)
-            gx[
-                :,
-                :,
-                ilo : ilo + stride * (i1 - i0) : stride,
-                jlo : jlo + stride * (j1 - j0) : stride,
-            ] += g[:, :, i0:i1, j0:j1]
-    return gx
+avgpool2d_backward_fast = avgpool2d_backward
 
 
 def batchnorm_forward_fast(

@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.nas.hypernet import HyperNet, HyperNetTrainer
+from repro.nas.network import CellNetwork
+from repro.nas.train import train_network
 from repro.nn import functional as F
+from repro.nn.serialize import module_buffers
 
+from tests import kernel_oracles as O
 from tests.conftest import numerical_gradient
 
 
@@ -568,3 +573,162 @@ class TestBatchnormInfer:
         rm0, rv0 = self._stats()
         np.testing.assert_array_equal(rm, rm0)
         np.testing.assert_array_equal(rv, rv0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity against the reference oracles (tests/kernel_oracles.py)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def geometries(draw):
+    """``(x, kernel, stride, pad)``: N in {1, 3, 64}, C <= 32, H in 1..9,
+    K in {1, 3, 5}, stride in {1, 2}, pad in 0..K//2, float32 or float64."""
+    n = draw(st.sampled_from([1, 3, 64]))
+    c = draw(st.integers(1, 32))
+    h = draw(st.integers(1, 9))
+    kernel = draw(st.sampled_from([1, 3, 5]))
+    stride = draw(st.sampled_from([1, 2]))
+    pad = draw(st.integers(0, kernel // 2))
+    assume(h + 2 * pad >= kernel)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2**16))
+    x = np.random.default_rng(seed).normal(size=(n, c, h, h)).astype(dtype)
+    return x, kernel, stride, pad
+
+
+def noise(shape, dtype, seed=1):
+    return np.random.default_rng(seed).normal(size=shape).astype(dtype)
+
+
+def assert_bitwise(new, ref):
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    assert np.array_equal(new, ref)
+
+
+ORACLE_SETTINGS = settings(deadline=None, max_examples=40)
+
+
+class TestOracleParity:
+    """The standard training kernels equal the textbook oracles bit for bit:
+    forward outputs, grad_x and grad_w, on a hypothesis geometry grid."""
+
+    @given(case=geometries(), pad_value=st.sampled_from([0.0, -np.inf]))
+    @ORACLE_SETTINGS
+    def test_im2col(self, case, pad_value):
+        x, kernel, stride, pad = case
+        assert_bitwise(
+            F.im2col(x, kernel, stride, pad, pad_value),
+            O.im2col(x, kernel, stride, pad, pad_value),
+        )
+
+    @given(case=geometries())
+    @ORACLE_SETTINGS
+    def test_col2im(self, case):
+        x, kernel, stride, pad = case
+        cols = noise(O.im2col(x, kernel, stride, pad).shape, x.dtype)
+        assert_bitwise(
+            F.col2im(cols, x.shape, kernel, stride, pad),
+            O.col2im(cols, x.shape, kernel, stride, pad),
+        )
+
+    @given(case=geometries(), out_channels=st.integers(1, 16))
+    @ORACLE_SETTINGS
+    def test_conv2d(self, case, out_channels):
+        x, kernel, stride, pad = case
+        w = noise((out_channels, x.shape[1], kernel, kernel), x.dtype, seed=2)
+        out, cache = F.conv2d_forward(x, w, stride, pad)
+        ref, ref_cache = O.conv2d_forward(x, w, stride, pad)
+        assert_bitwise(out, ref)
+        g = noise(out.shape, x.dtype, seed=3)
+        for new, old in zip(F.conv2d_backward(g, cache), O.conv2d_backward(g, ref_cache)):
+            assert_bitwise(new, old)
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (5, 1), (3, 2), (5, 2)])
+    def test_conv2d_long_rows(self, kernel, stride):
+        """Output rows of >= 16 pixels take col2im's NCHW scatter."""
+        x = noise((3, 4, 33, 33), np.float32)
+        w = noise((5, 4, kernel, kernel), np.float32, seed=2)
+        pad = kernel // 2
+        out, cache = F.conv2d_forward(x, w, stride, pad)
+        ref, ref_cache = O.conv2d_forward(x, w, stride, pad)
+        assert out.shape[3] >= F._COL2IM_NCHW_ROW
+        assert_bitwise(out, ref)
+        g = noise(out.shape, np.float32, seed=3)
+        for new, old in zip(F.conv2d_backward(g, cache), O.conv2d_backward(g, ref_cache)):
+            assert_bitwise(new, old)
+
+    @given(case=geometries())
+    @ORACLE_SETTINGS
+    def test_depthwise_conv2d(self, case):
+        x, kernel, stride, pad = case
+        w = noise((x.shape[1], kernel, kernel), x.dtype, seed=2)
+        out, cache = F.depthwise_conv2d_forward(x, w, stride, pad)
+        ref, ref_cache = O.depthwise_conv2d_forward(x, w, stride, pad)
+        assert_bitwise(out, ref)
+        g = noise(out.shape, x.dtype, seed=3)
+        for new, old in zip(
+            F.depthwise_conv2d_backward(g, cache),
+            O.depthwise_conv2d_backward(g, ref_cache),
+        ):
+            assert_bitwise(new, old)
+
+    @given(case=geometries(), levels=st.integers(1, 4))
+    @ORACLE_SETTINGS
+    def test_maxpool_with_ties(self, case, levels):
+        """Integer-valued inputs from a few levels make most windows tie:
+        the gradient must still go to the argmax (first) cell."""
+        x, kernel, stride, pad = case
+        x = np.floor(x * levels / 2).astype(x.dtype)
+        out, cache = F.maxpool2d_forward(x, kernel, stride, pad)
+        ref, ref_cache = O.maxpool2d_forward(x, kernel, stride, pad)
+        assert_bitwise(out, ref)
+        g = noise(out.shape, x.dtype, seed=3)
+        assert_bitwise(F.maxpool2d_backward(g, cache), O.maxpool2d_backward(g, ref_cache))
+
+    @given(case=geometries())
+    @ORACLE_SETTINGS
+    def test_avgpool(self, case):
+        x, kernel, stride, pad = case
+        out, cache = F.avgpool2d_forward(x, kernel, stride, pad)
+        ref, ref_cache = O.avgpool2d_forward(x, kernel, stride, pad)
+        assert_bitwise(out, ref)
+        g = noise(out.shape, x.dtype, seed=3)
+        assert_bitwise(F.avgpool2d_backward(g, cache), O.avgpool2d_backward(g, ref_cache))
+
+
+class TestTrainingRunsMatchOracles:
+    """One epoch of each training loop leaves every parameter and BN
+    buffer == to the same epoch run on the oracle kernels."""
+
+    @staticmethod
+    def _state(module):
+        return [a.copy() for a in module.state_arrays() + module_buffers(module)]
+
+    def _assert_same_as_oracles(self, monkeypatch, run):
+        new = run()
+        with monkeypatch.context() as patch:
+            for name, oracle in O.ORACLES.items():
+                patch.setattr(F, name, oracle)
+            ref = run()
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            assert_bitwise(a, b)
+
+    def test_hypernet_epoch(self, monkeypatch, tiny_dataset):
+        def run():
+            hn = HyperNet(num_cells=3, stem_channels=4, rng=np.random.default_rng(9))
+            HyperNetTrainer(hn, epochs=1, seed=0).fit(tiny_dataset, batch_size=32)
+            return self._state(hn)
+
+        self._assert_same_as_oracles(monkeypatch, run)
+
+    def test_train_network_epoch(self, monkeypatch, tiny_dataset, genotype):
+        def run():
+            net = CellNetwork(
+                genotype, num_cells=3, stem_channels=4, rng=np.random.default_rng(0)
+            )
+            train_network(net, tiny_dataset, epochs=1, batch_size=32, seed=0)
+            return self._state(net)
+
+        self._assert_same_as_oracles(monkeypatch, run)
