@@ -103,11 +103,6 @@ def im2col(
     return np.ascontiguousarray(win).reshape(n, c * kernel * kernel, oh * ow)
 
 
-#: Image-row length from which :func:`col2im`'s NCHW slice adds amortise
-#: numpy's per-row cost; shorter rows scatter channels-last instead.
-_COL2IM_NCHW_ROW = 16
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -118,23 +113,18 @@ def col2im(
     """Adjoint of :func:`im2col`: scatter-add columns back to image layout.
 
     Every pixel sums the taps that cover it from zero in ascending
-    ``(ki, kj)`` order.  The K*K slice adds run on NCHW image rows when
-    those are long (or there is a single 1x1 tap), and channels-last
-    (:func:`_col2im_taps`) when they are short — the same sums either way.
+    ``(ki, kj)`` order, channels-last through :func:`_col2im_taps`.  A 1x1
+    kernel has a single tap, added to zeros in place with no layout change.
     """
     n, c, h, w = x_shape
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
     taps = cols.reshape(n, c, kernel, kernel, oh, ow)
-    if kernel > 1 and ow < _COL2IM_NCHW_ROW:
-        return _col2im_taps(taps.transpose(2, 3, 4, 5, 0, 1), h, w, stride, pad)
-    x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            x[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += (
-                taps[:, :, ki, kj]
-            )
-    return x[:, :, pad : pad + h, pad : pad + w]
+    if kernel == 1:
+        x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+        x[:, :, : stride * oh : stride, : stride * ow : stride] += taps[:, :, 0, 0]
+        return x[:, :, pad : pad + h, pad : pad + w]
+    return _col2im_taps(taps.transpose(2, 3, 4, 5, 0, 1), h, w, stride, pad)
 
 
 def _col2im_taps(taps: np.ndarray, h: int, w: int, stride: int, pad: int) -> np.ndarray:
@@ -176,6 +166,8 @@ def conv2d_forward(
     out = np.matmul(w2, cols)  # (N, K, P)
     oh = conv_out_size(h, r, stride, pad)
     ow = conv_out_size(w, r, stride, pad)
+    # cols may be a view of x (1x1, stride 1, no pad): x must not be
+    # modified in place before the backward pass reads cols for grad_w.
     cache = (cols, x.shape, weight, stride, pad)
     return out.reshape(n, k, oh, ow), cache
 
